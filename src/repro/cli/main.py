@@ -240,14 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 0 = pick a free one, printed on start)",
     )
     p.add_argument(
-        "--readers", type=int, default=4,
-        help="read-only sessions in the pool (default 4)",
-    )
-    p.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="pre-fork N reader worker processes instead of the threaded "
-        "pool: one shared snapshot load, ~N-core read throughput, always "
-        "read-only/follower (default 0 = threaded)",
+        "server's one read session: one shared snapshot load, ~N-core "
+        "read throughput, always read-only/follower (default 0 = threaded)",
     )
     p.add_argument(
         "--cache", type=int, default=256, metavar="N",
@@ -359,7 +355,6 @@ def _main_serve(args: argparse.Namespace, path: Path) -> int:
             str(path),
             host=args.host,
             port=args.port,
-            readers=args.readers,
             cache_capacity=args.cache,
             writer=not follow,
             checkpoint_interval=args.checkpoint_every,
@@ -384,8 +379,7 @@ def _main_serve(args: argparse.Namespace, path: Path) -> int:
     if args.workers > 0:
         topology = f"{args.workers} workers, prefork mode"
     else:
-        topology = f"{args.readers} readers, "
-        topology += "follower mode" if follow else "writer mode"
+        topology = "follower mode" if follow else "writer mode"
     print(f"serving {path} on {host}:{port} ({topology})", flush=True)
 
     def _request_shutdown(_signum, _frame):

@@ -1,26 +1,26 @@
-"""Thread-based session manager: one writer, N read-only serving sessions.
+"""One writer store plus one read-only serving session.
 
 The shape the paper's bolt-on design wants at serving time: a single
-update path (the exclusive-lock writer store) next to many concurrent
-analytical readers, each a :class:`repro.persist.Store` opened with
-``mode="ro"`` so it shares the store directory without writing a byte.
-Sessions live in a pool; a request borrows one, brings it up to date with
-a cheap lsn-tail :meth:`~repro.persist.Store.refresh`, serves through the
-shared :class:`~repro.serve.cache.CheckoutCache`, and returns it.
+update path (the exclusive-lock writer store) next to a read session, a
+:class:`repro.persist.Store` opened with ``mode="ro"`` so it shares the
+store directory without writing a byte.  A request borrows the session,
+brings it up to date with a cheap lsn-tail
+:meth:`~repro.persist.Store.refresh`, serves through the
+:class:`~repro.serve.cache.CheckoutCache`, and hands it back.
 
-Reentrancy model: a session is used by one thread at a time (the pool
-enforces it), sessions never share mutable state with each other, and the
-cache carries its own lock — so N sessions serve N requests concurrently
-with no global lock.  With an in-process writer, readers know exactly when
-they are behind (the writer's lsn is a field away); in follower mode
-(``writer=False``, the writer lives in another process) every borrow
-polls the WAL tail, which the byte-offset resume keeps cheap.
+Reentrancy model: the session is used by one thread at a time — one lock
+serialises borrowers, which the GIL would serialise anyway — and the
+cache carries its own lock.  Read scale-out is the pre-fork worker pool
+(:mod:`repro.serve.workers`), one such session per process.  With an
+in-process writer, the session knows exactly when it is behind (the
+writer's lsn is a field away); in follower mode (``writer=False``, the
+writer lives in another process) every borrow polls the WAL tail, which
+the byte-offset resume keeps cheap.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from contextlib import contextmanager
@@ -38,33 +38,31 @@ _BORROW_WAIT = metrics.histogram("serve.pool.borrow_wait_seconds")
 _IN_FLIGHT = metrics.gauge("serve.pool.in_flight")
 
 _MISSING = object()
-#: Posted into the session pool by close(): wakes borrowers blocked on an
-#: empty pool so they fail cleanly instead of hanging forever.
-_CLOSED = object()
 
 
 class ReadSession:
-    """One read-only store plus its view of the shared cache."""
+    """One read-only store plus its view of the cache, one borrower at a
+    time."""
 
     def __init__(
         self,
-        path: str | Path | None,
+        store: Store,
         cache: CheckoutCache,
         session_id: int = 0,
-        store: Store | None = None,
+        writer: Store | None = None,
     ):
-        # A pre-built store (the pre-fork worker path: the parent loaded
-        # it once, the child inherited it) skips the per-session snapshot
-        # load that `path` would pay.
-        if store is None:
-            if path is None:
-                raise PersistenceError("ReadSession needs a path or a store")
-            store = Store.open(path, mode="ro")
         self.store = store
         self.cache = cache
         self.session_id = session_id
+        #: The in-process writer, if any: a session already at its lsn
+        #: skips the WAL poll.  Without one (follower mode, prefork
+        #: workers) every borrow polls the durable tail.
+        self.writer = writer
         self.refreshes = 0
         self.requests = 0
+        self._turn = threading.Condition()
+        self._busy = False
+        self._closed = False
 
     @property
     def orpheus(self):
@@ -81,12 +79,6 @@ class ReadSession:
             self.refreshes += 1
             self._invalidate(result)
         return result
-
-    def refresh_if_behind(self, writer_lsn: int | None) -> RefreshResult | None:
-        """Refresh when known to be behind; ``None`` target means poll."""
-        if writer_lsn is not None and self.last_lsn >= writer_lsn:
-            return None
-        return self.refresh()
 
     def ensure_lsn(self, min_lsn: int | None) -> None:
         """The refresh fence: never answer from behind ``min_lsn``.
@@ -120,6 +112,48 @@ class ReadSession:
             queries=bool(result.ran_sql or result.touched_cvds),
         )
 
+    # ------------------------------------------------------------ borrowing
+
+    @contextmanager
+    def borrow(self, min_lsn: int | None = None) -> Iterator["ReadSession"]:
+        """Exclusive use of the session, caught up and fenced at
+        ``min_lsn``; blocks while another request holds it."""
+        waited = time.perf_counter()
+        with self._turn:
+            while self._busy and not self._closed:
+                self._turn.wait()
+            if self._closed:
+                raise PersistenceError("serve manager is closed")
+            self._busy = True
+        _BORROW_WAIT.observe(time.perf_counter() - waited)
+        _IN_FLIGHT.inc()
+        try:
+            if self.writer is None or self.last_lsn < self.writer.last_lsn:
+                self.refresh()
+            self.ensure_lsn(min_lsn)
+            yield self
+        finally:
+            _IN_FLIGHT.dec()
+            with self._turn:
+                self._busy = False
+                if self._closed:
+                    # close() ran mid-request and left the store to us.
+                    self.store.close()
+                else:
+                    self._turn.notify()
+
+    def close(self) -> None:
+        """Close now if idle, else on the borrower's way out; waiters wake
+        with a clean error instead of hanging."""
+        with self._turn:
+            if self._closed:
+                return
+            self._closed = True
+            busy = self._busy
+            self._turn.notify_all()
+        if not busy:
+            self.store.close()
+
     # -------------------------------------------------------------- serving
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
@@ -142,17 +176,27 @@ class ReadSession:
             self.cache.put(key, result)
         return result
 
-    def close(self) -> None:
-        self.store.close()
+    def status(self) -> dict:
+        """The payload of the serve ``{"op": "status"}`` endpoint."""
+        return {
+            "path": str(self.store.path),
+            "mode": "writer" if self.writer is not None else "follower",
+            "pid": os.getpid(),
+            "worker": self.session_id,
+            "writer_lsn": self.writer.last_lsn if self.writer is not None else None,
+            "lsn": self.last_lsn,
+            "requests": self.requests,
+            "refreshes": self.refreshes,
+            "cache": self.cache.stats_dict(),
+        }
 
 
 class ServeManager:
-    """Multiplex one writer store and a pool of read-only sessions."""
+    """The optional writer store plus one read session."""
 
     def __init__(
         self,
         path: str | Path,
-        readers: int = 4,
         cache_capacity: int = 256,
         writer: bool = True,
         checkpoint_interval: int = 256,
@@ -160,15 +204,8 @@ class ServeManager:
         self.path = Path(path)
         self.cache = CheckoutCache(cache_capacity)
         self.writer_store: Store | None = None
+        self.reader: ReadSession | None = None
         self._write_lock = threading.RLock()
-        self._sessions: list[ReadSession] = []
-        self._idle: queue.Queue[ReadSession] = queue.Queue()
-        self._closed = False
-        #: Makes "check _closed, then re-queue or retire" atomic against
-        #: close(): a borrower's finally and close() can otherwise
-        #: interleave so a just-returned session escapes both paths and
-        #: leaks its store (fd + shared flock) for the process lifetime.
-        self._pool_lock = threading.Lock()
         #: Collector names this manager registered with the obs registry,
         #: remembered with their callables so close() only unregisters its
         #: own (a fresher manager may have overwritten a name).
@@ -178,45 +215,32 @@ class ServeManager:
                 self.writer_store = Store.open(
                     path, checkpoint_interval=checkpoint_interval
                 )
-            for session_id in range(max(1, readers)):
-                session = ReadSession(path, self.cache, session_id)
-                self._sessions.append(session)
-                self._idle.put(session)
+            self.reader = ReadSession(
+                Store.open(path, mode="ro"), self.cache, writer=self.writer_store
+            )
         except BaseException:
             self.close()
             raise
         self._register_collectors()
 
     def _register_collectors(self) -> None:
-        """Expose the cache and each session's engine I/O pull-style.
+        """Expose the cache and the engine I/O pull-style.
 
         Registration is snapshot-time only: the counters themselves are the
         unmodified CacheStats/IOStats the hot paths already charge, so the
         gated benchmark figures cannot drift.
         """
         obs = metrics.registry()
-        entries: list[tuple[str, Any]] = [("serve.cache", self.cache.stats_dict)]
-        for session in self._sessions:
-            entries.append(
-                (
-                    f"serve.session_{session.session_id}.io",
-                    session.store.orpheus.db.stats.as_dict,
-                )
-            )
+        entries: list[tuple[str, Any]] = [
+            ("serve.cache", self.cache.stats_dict),
+            ("serve.session_0.io", self.reader.orpheus.db.stats.as_dict),
+        ]
         if self.writer_store is not None:
             writer_stats = self.writer_store.orpheus.db.stats
             entries.append(("serve.writer.io", writer_stats.as_dict))
         for name, collect in entries:
             obs.register_collector(name, collect)
         self._collectors = entries
-
-    # ---------------------------------------------------------------- stats
-
-    def stats_snapshot(self) -> dict:
-        """The full observability snapshot for this process (the payload of
-        the serve ``{"op": "stats"}`` endpoint); pid included so multi-
-        process workers can be told apart side by side."""
-        return {"pid": os.getpid(), "metrics": metrics.registry().snapshot()}
 
     # --------------------------------------------------------------- writer
 
@@ -231,8 +255,8 @@ class ServeManager:
 
     @contextmanager
     def write(self) -> Iterator[Any]:
-        """Serialized access to the writer; readers pick changes up on
-        their next borrow (bounded staleness, never inconsistency)."""
+        """Serialized access to the writer; the read session picks changes
+        up on its next borrow (bounded staleness, never inconsistency)."""
         if self.writer_store is None:
             raise PersistenceError(
                 "this manager follows an external writer (writer=False); "
@@ -241,66 +265,19 @@ class ServeManager:
         with self._write_lock:
             yield self.writer_store.orpheus
 
-    # -------------------------------------------------------------- readers
+    # --------------------------------------------------------------- reader
 
-    @contextmanager
-    def session(self, refresh: bool = True) -> Iterator[ReadSession]:
-        """Borrow a read session from the pool (blocks when all are busy)."""
-        if self._closed:
-            raise PersistenceError("serve manager is closed")
-        waited = time.perf_counter()
-        session = self._idle.get()
-        _BORROW_WAIT.observe(time.perf_counter() - waited)
-        if session is _CLOSED:
-            # close() ran while we were blocked; pass the wake-up along to
-            # any other blocked borrower.
-            self._idle.put(_CLOSED)
-            raise PersistenceError("serve manager is closed")
-        _IN_FLIGHT.inc()
-        try:
-            if refresh:
-                session.refresh_if_behind(self.writer_lsn)
-            yield session
-        finally:
-            _IN_FLIGHT.dec()
-            with self._pool_lock:
-                if self._closed:
-                    # The pool is being torn down: retire the session here
-                    # rather than re-queueing it into a dead pool (close()
-                    # only retires sessions that were idle when it ran).
-                    session.close()
-                else:
-                    self._idle.put(session)
+    def session(self) -> Iterator[ReadSession]:
+        """Borrow the read session (blocks while a request holds it)."""
+        return self.reader.borrow()
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
         with self.session() as session:
             return session.checkout(cvd, vids)
 
-    def checkout_payload(
-        self, cvd: str, vids: int | Sequence[int], min_lsn: int | None = None
-    ) -> tuple[list[str], list[tuple], int]:
-        """(columns, rows, lsn) resolved on ONE session borrow, so the
-        column list always matches the rows' arity even if a schema
-        evolution lands between requests.  The returned lsn is the exact
-        state the rows reflect — clients echo it back as ``min_lsn`` to
-        get read-your-writes across the worker pool."""
-        with self.session() as session:
-            session.ensure_lsn(min_lsn)
-            rows = session.checkout(cvd, vids)
-            schema = session.orpheus.cvd(cvd).data_schema
-            return ["rid", *schema.column_names], rows, session.last_lsn
-
     def query(self, sql: str, params: Sequence[Any] = ()):
         with self.session() as session:
             return session.query(sql, params)
-
-    def query_payload(
-        self, sql: str, params: Sequence[Any] = (), min_lsn: int | None = None
-    ) -> tuple[Any, int]:
-        """(result, lsn) under one borrow, with the same refresh fence."""
-        with self.session() as session:
-            session.ensure_lsn(min_lsn)
-            return session.query(sql, params), session.last_lsn
 
     def columns(self, cvd: str) -> list[str]:
         """Column names of a checkout payload (rid first, like the rows)."""
@@ -308,58 +285,8 @@ class ServeManager:
             schema = session.orpheus.cvd(cvd).data_schema
             return ["rid", *schema.column_names]
 
-    def refresh_all(self) -> tuple[list[dict], int]:
-        """Refresh every currently idle session; returns (refreshed, busy).
-
-        Sessions borrowed by in-flight requests cannot be refreshed from
-        here (they are single-threaded by design); they catch up on their
-        next borrow anyway, so they are merely reported as busy.
-        """
-        sessions: list[ReadSession] = []
-        try:
-            while len(sessions) < len(self._sessions):
-                item = self._idle.get_nowait()
-                if item is _CLOSED:
-                    self._idle.put(_CLOSED)
-                    break
-                sessions.append(item)
-        except queue.Empty:
-            pass
-        refreshed = []
-        try:
-            for session in sessions:
-                result = session.refresh()
-                refreshed.append(
-                    {"id": session.session_id, "lsn": result.last_lsn}
-                )
-        finally:
-            with self._pool_lock:
-                for session in sessions:
-                    if self._closed:
-                        session.close()
-                    else:
-                        self._idle.put(session)
-        return refreshed, len(self._sessions) - len(sessions)
-
-    # --------------------------------------------------------------- status
-
     def status(self) -> dict:
-        return {
-            "path": str(self.path),
-            "mode": "writer" if self.writer_store else "follower",
-            "writer_lsn": self.writer_lsn,
-            "readers": len(self._sessions),
-            "sessions": [
-                {
-                    "id": session.session_id,
-                    "lsn": session.last_lsn,
-                    "requests": session.requests,
-                    "refreshes": session.refreshes,
-                }
-                for session in self._sessions
-            ],
-            "cache": self.cache.stats_dict(),
-        }
+        return self.reader.status()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -368,26 +295,10 @@ class ServeManager:
         for name, collect in self._collectors:
             obs.unregister_collector(name, collect)
         self._collectors = []
-        with self._pool_lock:
-            if self._closed:
-                return
-            # Under the pool lock: any borrower's finally now either ran
-            # before us (its session is in the queue and drained below) or
-            # runs after and sees _closed, retiring its session itself.
-            self._closed = True
-        # Retire every idle session; sessions borrowed by in-flight
-        # requests keep their stores open until the borrower's finally
-        # retires them (never close a store out from under a reader).
-        while True:
-            try:
-                item = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _CLOSED:
-                item.close()
-        # Wake any borrower blocked on the now-empty pool.
-        self._idle.put(_CLOSED)
-        self._sessions = []
+        if self.reader is not None:
+            # Never closes the store under an in-flight request: the
+            # borrower retires it on its way out.
+            self.reader.close()
         if self.writer_store is not None:
             self.writer_store.close()
             self.writer_store = None

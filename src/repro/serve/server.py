@@ -6,15 +6,19 @@ One request per line, one JSON object per response line::
     {"ok": true, "columns": ["rid", ...], "rows": [...], "count": 2}
 
 Supported ops: ``ping``, ``status``, ``stats`` (full per-process
-observability snapshot), ``checkout``, ``query``, ``refresh`` (force
-every session up to date), ``shutdown``.  Connections are handled by
-daemon threads (``ThreadingTCPServer``); each request borrows a pooled
-read-only session, so concurrent clients map onto concurrent store
-sessions.  Errors come back as ``{"ok": false, "error": <human text>,
+observability snapshot), ``checkout``, ``query``, ``refresh`` (bring the
+read session up to date), ``shutdown``.  Connections are handled by
+daemon threads (``ThreadingTCPServer``) that all run the one request
+loop of :mod:`repro.serve.workers` over the manager's single read
+session, taking turns on it; the pre-fork pool is the read scale-out
+path.  Errors come back as ``{"ok": false, "error": <human text>,
 "code": <stable machine string>}`` on the same line — the connection
 stays usable.  A request may carry ``"trace": "<id>"``; every span the
 request touches (down to store refresh and executor work) then carries
 that trace id in the structured log stream.
+
+This module also holds the wire helpers both front ends share and the
+clients (:func:`request`, :class:`ServeClient`).
 """
 
 from __future__ import annotations
@@ -25,13 +29,11 @@ import re
 import socket
 import socketserver
 import threading
-import time
 import weakref
 import zlib
 from typing import Any
 
-from repro.errors import ReproError
-from repro.obs import metrics, trace
+from repro.obs import metrics
 
 from repro.serve.manager import ServeManager
 
@@ -66,8 +68,7 @@ def rows_checksum(rows: Any) -> int:
 def checkout_response(
     columns: list, rows: list, lsn: int, include_rows: bool = True
 ) -> dict:
-    """The wire shape of a successful checkout, shared by the threaded
-    server and the pre-fork workers so the two front ends cannot drift."""
+    """The wire shape of a successful checkout."""
     response: dict = {"ok": True, "columns": columns, "count": len(rows), "lsn": lsn}
     if include_rows:
         response["rows"] = [list(row) for row in rows]
@@ -89,93 +90,29 @@ def error_code(exc: BaseException) -> str:
     return _CAMEL.sub("_", name).lower() or "error"
 
 
-class _RequestHandler(socketserver.StreamRequestHandler):
+class _RequestHandler(socketserver.BaseRequestHandler):
+    """Accept/thread wiring only: the request loop is the workers' own."""
+
     def handle(self) -> None:
-        registry = metrics.registry()
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            started = time.perf_counter()
-            op_label = "unknown"
-            try:
-                request = json.loads(line.decode("utf-8"))
-                op = request.get("op")
-                if op in KNOWN_OPS:
-                    op_label = op
-                # The root span of the request: a client-supplied trace id
-                # rides down through refresh/checkout/executor spans.
-                with trace.span(
-                    "serve.request", trace_id=request.get("trace"), op=op
-                ):
-                    response = self._dispatch(request)
-            except (ValueError, KeyError, TypeError) as exc:
-                response = self._error(f"bad request: {exc}", "bad_request")
-            except ReproError as exc:
-                response = self._error(str(exc), error_code(exc))
-            except Exception as exc:  # keep the connection alive
-                response = self._error(
-                    f"internal error: {type(exc).__name__}: {exc}", "internal"
-                )
-            registry.counter(f"serve.requests.{op_label}").inc()
-            registry.histogram(f"serve.request_seconds.{op_label}").observe(
-                time.perf_counter() - started
-            )
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-            self.wfile.flush()
-            if response.get("bye"):
-                # Trigger the shutdown only after the acknowledgement is
-                # flushed — the other order races the process exit and the
-                # client can see EOF instead of the reply.
-                server: "_Server" = self.server  # type: ignore[assignment]
-                server.request_shutdown()
-                break
+        # Imported here: the workers module imports this one's wire helpers.
+        from repro.serve import workers
 
-    @staticmethod
-    def _error(message: str, code: str) -> dict:
-        return error_response(message, code)
-
-    def _dispatch(self, request: dict) -> dict:
         server: "_Server" = self.server  # type: ignore[assignment]
-        manager = server.manager
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "status":
-            return {"ok": True, "status": manager.status()}
-        if op == "stats":
-            return {"ok": True, "stats": manager.stats_snapshot()}
-        if op == "checkout":
-            columns, rows, lsn = manager.checkout_payload(
-                request["cvd"], request["vids"], min_lsn=request.get("min_lsn")
-            )
-            return checkout_response(
-                columns, rows, lsn, include_rows=request.get("rows", True)
-            )
-        if op == "query":
-            result, lsn = manager.query_payload(
-                request["sql"], request.get("params", ()),
-                min_lsn=request.get("min_lsn"),
-            )
-            return {
-                "ok": True,
-                "columns": result.columns,
-                "rows": [list(row) for row in result.rows],
-                "count": result.rowcount,
-                "lsn": lsn,
-            }
-        if op == "refresh":
-            refreshed, busy = manager.refresh_all()
-            return {"ok": True, "sessions": refreshed, "busy": busy}
-        if op == "shutdown":
-            return {"ok": True, "bye": True}
-        return self._error(f"unknown op {op!r}", "unknown_op")
+        # The loop returns only after the shutdown acknowledgement is sent
+        # — the other order races the process exit and the client can see
+        # EOF instead of the reply.
+        if workers._serve_connection(
+            self.request, server.manager.reader, server.draining
+        ):
+            server.request_shutdown()
 
 
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     manager: ServeManager
+    #: Set on the way out: idle connections drop within one recv timeout.
+    draining: threading.Event
 
     def request_shutdown(self) -> None:
         # shutdown() joins the serve_forever loop, which must not run on
@@ -196,6 +133,7 @@ class ServeServer:
         self.manager = manager
         self._server = _Server((host, port), _RequestHandler)
         self._server.manager = manager
+        self._server.draining = threading.Event()
         self._thread: threading.Thread | None = None
 
     @property
@@ -209,6 +147,7 @@ class ServeServer:
         try:
             self._server.serve_forever(poll_interval=0.1)
         finally:
+            self._server.draining.set()
             self._server.server_close()
             self.manager.close()
 
@@ -328,7 +267,6 @@ def serve(
     path: str,
     host: str = "127.0.0.1",
     port: int = 0,
-    readers: int = 4,
     cache_capacity: int = 256,
     writer: bool = True,
     checkpoint_interval: int = 256,
@@ -339,7 +277,7 @@ def serve(
     """Build a server for ``orpheus serve`` (not yet started).
 
     ``workers=0`` (the default) builds the in-process threaded server
-    (one writer + a reader-session pool).  ``workers=N`` builds the
+    (the writer plus one read session).  ``workers=N`` builds the
     pre-fork :class:`~repro.serve.workers.PreforkServer` instead: N
     reader *processes* that inherit one loaded snapshot, always in
     follower mode (the writer, if any, lives in another process).
@@ -358,7 +296,6 @@ def serve(
         )
     manager = ServeManager(
         path,
-        readers=readers,
         cache_capacity=cache_capacity,
         writer=writer,
         checkpoint_interval=checkpoint_interval,

@@ -1,8 +1,12 @@
-"""Pre-fork process workers: load the snapshot once, fork it N times.
+"""Pre-fork process workers, and the request loop both front ends share.
 
-The threaded server (:mod:`repro.serve.server`) multiplexes reader
-*threads*, so checkout scans serialize on the GIL and N cores give ~1
-core of read throughput.  This module is the process-parallel shape:
+The request loop (:func:`_serve_connection` → :func:`_handle_line` →
+:func:`_dispatch`) is the one JSON-line protocol implementation: the
+threaded server (:mod:`repro.serve.server`) runs it over its manager's
+read session, and every forked worker runs it over its own.  The
+threaded server's checkout scans serialize on the GIL, so N cores give
+~1 core of read throughput; this module's pool is the process-parallel
+shape:
 
 - the parent opens the store **read-only once** (one snapshot load, one
   WAL replay), binds and listens on the TCP socket, then forks N reader
@@ -96,7 +100,7 @@ class WorkerSession(ReadSession):
         l2: CacheClient | None,
         session_id: int = 0,
     ):
-        super().__init__(None, cache, session_id, store=store)
+        super().__init__(store, cache, session_id)
         self.l2 = l2
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
@@ -114,6 +118,13 @@ class WorkerSession(ReadSession):
                 self.l2.put(key, pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
         self.cache.put(key, rows)
         return rows
+
+    def status(self) -> dict:
+        status = super().status()
+        status["mode"] = "prefork-worker"
+        if self.l2 is not None:
+            status["l2"] = self.l2.stats() or {"degraded": True}
+        return status
 
 
 # ---------------------------------------------------------------------- worker
@@ -178,9 +189,9 @@ def _worker_loop(
 
 
 def _serve_connection(
-    conn: socket.socket, session: WorkerSession, drain: threading.Event
+    conn: socket.socket, session: ReadSession, drain: threading.Event
 ) -> bool:
-    """Serve one pinned connection until EOF; True if shutdown was asked.
+    """Serve one connection until EOF; True if shutdown was asked.
 
     The read loop buffers by hand with a short recv timeout instead of
     ``makefile().readline()``: a timeout mid-``readline`` would corrupt
@@ -224,17 +235,20 @@ def _serve_connection(
             return True
 
 
-def _handle_line(line: bytes, session: WorkerSession) -> dict:
-    """Decode, dispatch, meter — the worker-side twin of the threaded
-    handler's per-request bookkeeping."""
+def _handle_line(line: bytes, session: ReadSession) -> dict:
+    """Decode, dispatch, meter one request line; never raises."""
     registry = metrics.registry()
     started = time.perf_counter()
     op_label = "unknown"
     try:
         request = json.loads(line.decode("utf-8"))
+        if not isinstance(request, dict):
+            raise TypeError(f"not a JSON object: {type(request).__name__}")
         op = request.get("op")
         if op in KNOWN_OPS:
             op_label = op
+        # The root span of the request: a client-supplied trace id rides
+        # down through refresh/checkout/executor spans.
         with trace.span("serve.request", trace_id=request.get("trace"), op=op):
             response = _dispatch(request, session)
     except (ValueError, KeyError, TypeError) as exc:
@@ -252,12 +266,12 @@ def _handle_line(line: bytes, session: WorkerSession) -> dict:
     return response
 
 
-def _dispatch(request: dict, session: WorkerSession) -> dict:
+def _dispatch(request: dict, session: ReadSession) -> dict:
     op = request.get("op")
     if op == "ping":
         return {"ok": True, "pong": True, "pid": os.getpid()}
     if op == "status":
-        return {"ok": True, "status": _status(session)}
+        return {"ok": True, "status": session.status()}
     if op == "stats":
         return {
             "ok": True,
@@ -268,57 +282,39 @@ def _dispatch(request: dict, session: WorkerSession) -> dict:
             },
         }
     if op == "checkout":
-        # Every read request polls the writer's durable tail first — the
-        # coordinated-refresh half of the design; the min_lsn fence is
-        # then enforced against the refreshed lsn.
-        session.refresh()
-        session.ensure_lsn(request.get("min_lsn"))
-        rows = session.checkout(request["cvd"], request["vids"])
-        schema = session.orpheus.cvd(request["cvd"]).data_schema
+        # Every read borrow first catches up with the writer's durable
+        # tail — the coordinated-refresh half of the design — and then
+        # enforces the min_lsn fence against the refreshed lsn.
+        with session.borrow(request.get("min_lsn")):
+            rows = session.checkout(request["cvd"], request["vids"])
+            schema = session.orpheus.cvd(request["cvd"]).data_schema
+            columns = ["rid", *schema.column_names]
+            lsn = session.last_lsn
         return checkout_response(
-            ["rid", *schema.column_names],
-            rows,
-            session.last_lsn,
-            include_rows=request.get("rows", True),
+            columns, rows, lsn, include_rows=request.get("rows", True)
         )
     if op == "query":
-        session.refresh()
-        session.ensure_lsn(request.get("min_lsn"))
-        result = session.query(request["sql"], request.get("params", ()))
+        with session.borrow(request.get("min_lsn")):
+            result = session.query(request["sql"], request.get("params", ()))
+            lsn = session.last_lsn
         return {
             "ok": True,
             "columns": result.columns,
             "rows": [list(row) for row in result.rows],
             "count": result.rowcount,
-            "lsn": session.last_lsn,
+            "lsn": lsn,
         }
     if op == "refresh":
-        result = session.refresh()
+        with session.borrow():
+            lsn = session.last_lsn
         return {
             "ok": True,
-            "sessions": [{"id": session.session_id, "lsn": result.last_lsn}],
+            "sessions": [{"id": session.session_id, "lsn": lsn}],
             "busy": 0,
         }
     if op == "shutdown":
         return {"ok": True, "bye": True}
     return error_response(f"unknown op {op!r}", "unknown_op")
-
-
-def _status(session: WorkerSession) -> dict:
-    status = {
-        "path": str(session.store.path),
-        "mode": "prefork-worker",
-        "pid": os.getpid(),
-        "worker": session.session_id,
-        "writer_lsn": None,
-        "lsn": session.last_lsn,
-        "requests": session.requests,
-        "refreshes": session.refreshes,
-        "cache": session.cache.stats_dict(),
-    }
-    if session.l2 is not None:
-        status["l2"] = session.l2.stats() or {"degraded": True}
-    return status
 
 
 # ---------------------------------------------------------------------- parent

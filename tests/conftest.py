@@ -42,6 +42,29 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.timeout(DEFAULT_TEST_TIMEOUT))
 
 
+@pytest.fixture(params=["threaded", "prefork"])
+def front_end(request, tmp_path):
+    """Each serve front end, live over the same small store: (host, port).
+
+    The prefork pool runs without the L2 cache, so its ``status`` has the
+    threaded server's keys exactly.
+    """
+    from repro.serve import PreforkServer, ServeManager, ServeServer
+
+    from test_persist_readonly import build_store
+
+    build_store(tmp_path / "s").close()
+    if request.param == "threaded":
+        server = ServeServer(ServeManager(tmp_path / "s")).start()
+    else:
+        server = PreforkServer(tmp_path / "s", workers=1, shared_cache=False)
+        server.start()
+    try:
+        yield server.address
+    finally:
+        server.shutdown()
+
+
 # Figure 1's protein rows: (protein1, protein2, neighborhood, cooccurrence,
 # coexpression).  r1 and r5 are two "versions" of the same logical record.
 PAPER_ROWS = [

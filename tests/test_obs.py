@@ -268,7 +268,7 @@ class TestServeStatsEndpoint:
     @pytest.fixture
     def server(self, tmp_path):
         build_store(tmp_path / "s").close()
-        manager = ServeManager(tmp_path / "s", readers=2)
+        manager = ServeManager(tmp_path / "s")
         srv = ServeServer(manager).start()
         try:
             yield srv
@@ -314,8 +314,8 @@ class TestServeStatsEndpoint:
         roots = [p for p in captured_spans if p["span"] == "serve.request"]
         assert any(p["trace_id"] == "abc123" and p["op"] == "ping" for p in roots)
 
-    def test_errors_carry_stable_codes_and_are_counted(self, server):
-        host, port = server.address
+    def test_errors_carry_stable_codes_and_are_counted(self, front_end):
+        host, port = front_end
         reply = request(host, port, {"op": "frobnicate"})
         assert reply == {
             "ok": False,
@@ -325,9 +325,13 @@ class TestServeStatsEndpoint:
         # Missing required field -> bad_request, connection stays usable.
         reply = request(host, port, {"op": "checkout", "vids": [1]})
         assert not reply["ok"] and reply["code"] == "bad_request"
+        # A line that decodes to a non-object is a bad request too.
+        for payload in ([1], "x", 3):
+            reply = request(host, port, payload)
+            assert not reply["ok"] and reply["code"] == "bad_request", reply
         stats = request(host, port, {"op": "stats"})["stats"]["metrics"]
         assert stats["serve"]["errors"]["unknown_op"] >= 1
-        assert stats["serve"]["errors"]["bad_request"] >= 1
+        assert stats["serve"]["errors"]["bad_request"] >= 4
         # Unknown ops bucket under one metric label; they cannot mint
         # unbounded counter names.
         assert "frobnicate" not in stats["serve"]["requests"]

@@ -1,4 +1,4 @@
-"""The serving layer: cache semantics, session pool, concurrent clients.
+"""The serving layer: cache semantics, the read session, concurrent clients.
 
 Cache correctness rests on lsn-tagged keys (state at an lsn is a pure
 function of the log); the invalidation tests therefore check both that
@@ -76,7 +76,7 @@ class TestCheckoutCache:
 class TestServeManager:
     def test_serves_correct_checkouts_and_caches(self, tmp_path):
         build_store(tmp_path / "s").close()
-        with ServeManager(tmp_path / "s", readers=2) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             expected = manager.writer.checkout_rows("t", [1, 3])
             assert manager.checkout("t", [1, 3]) == expected
             assert manager.checkout("t", [1, 3]) == expected  # cache hit
@@ -96,7 +96,7 @@ class TestServeManager:
             orpheus.run(f"UPDATE {work} SET v = {value} WHERE k = 'a'")
             orpheus.commit(work, message=f"a={value}")
         store.close()
-        with ServeManager(tmp_path / "s", readers=1) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             forward = manager.checkout("t", [2, 3])
             backward = manager.checkout("t", [3, 2])
             assert [r[2] for r in forward if r[1] == "a"] == [10]
@@ -107,7 +107,7 @@ class TestServeManager:
 
     def test_commit_invalidates_and_readers_catch_up(self, tmp_path):
         build_store(tmp_path / "s").close()
-        with ServeManager(tmp_path / "s", readers=2) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             assert len(manager.checkout("t", 3)) == 4
             with manager.write() as writer:
                 writer.checkout("t", 3, table_name="w")
@@ -116,15 +116,13 @@ class TestServeManager:
             rows = manager.checkout("t", 4)
             assert sorted(r[1] for r in rows)[-1] == "z"
             assert manager.cache.stats.invalidated >= 1
-            # Both sessions converge on the writer's lsn as they serve.
-            manager.checkout("t", 4)
+            # The session converges on the writer's lsn as it serves.
             status = manager.status()
-            lsns = {s["lsn"] for s in status["sessions"]}
-            assert lsns == {status["writer_lsn"]}
+            assert status["lsn"] == status["writer_lsn"]
 
     def test_schema_evolution_invalidates(self, tmp_path):
         build_store(tmp_path / "s").close()
-        with ServeManager(tmp_path / "s", readers=1) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             manager.checkout("t", 3)
             with manager.write() as writer:
                 writer.checkout("t", 3, table_name="w")
@@ -138,19 +136,19 @@ class TestServeManager:
 
     def test_partition_migration_invalidates(self, tmp_path):
         build_store(tmp_path / "s", versions=6).close()
-        with ServeManager(tmp_path / "s", readers=1) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             before = manager.checkout("t", 6)
             with manager.write() as writer:
                 writer.optimize("t", storage_threshold=4.0, tolerance=1.2)
             assert manager.checkout("t", 6) == before  # same logical rows
             assert manager.cache.stats.invalidated >= 1
-            session = manager._sessions[0]
+            session = manager.reader
             model = session.orpheus.cvd("t").model
             assert model.model_name == "partitioned_rlist"
 
     def test_query_caching_and_invalidation(self, tmp_path):
         build_store(tmp_path / "s").close()
-        with ServeManager(tmp_path / "s", readers=1) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             sql = "SELECT count(*) FROM VERSION 3 OF CVD t"
             assert manager.query(sql).rows == [(4,)]
             assert manager.query(sql).rows == [(4,)]
@@ -164,17 +162,20 @@ class TestServeManager:
             ).rows == [(5,)]
 
     def test_close_wakes_borrowers_blocked_on_the_pool(self, tmp_path):
-        """Regression: close() used to swap the idle queue for a fresh
-        one, so a thread already blocked in session() hung forever."""
+        """Regression: a thread blocked in session() must not hang when
+        close() runs; close() must neither wait for the in-flight request
+        nor close the store under it."""
         build_store(tmp_path / "s").close()
-        manager = ServeManager(tmp_path / "s", readers=1)
+        manager = ServeManager(tmp_path / "s")
         entered = threading.Event()
         outcome: list = []
 
         def hold_then_release():
-            with manager.session() as _session:
+            with manager.session() as session:
                 entered.set()
                 released.wait(timeout=10)
+                # close() ran meanwhile; the in-flight store still serves.
+                outcome.append(len(session.checkout("t", 1)))
 
         def blocked_borrower():
             entered.wait(timeout=10)
@@ -190,28 +191,29 @@ class TestServeManager:
         holder.start()
         waiter.start()
         entered.wait(timeout=10)
-        # waiter is (about to be) blocked on the empty pool; close must
+        # waiter is (about to be) blocked on the session lock; close must
         # wake it with a clean error, not leave it hanging.
         manager.close()
-        released.set()
+        # ...while the holder is still in flight.
         waiter.join(timeout=10)
-        holder.join(timeout=10)
         assert not waiter.is_alive()
-        assert outcome == ["closed"]
+        released.set()
+        holder.join(timeout=10)
+        assert outcome == ["closed", 2]
         # The borrowed session was retired by its borrower, the writer
         # lock released by close: a fresh writer can open.
         Store.open(tmp_path / "s").close()
 
     def test_sessions_reject_writes(self, tmp_path):
         build_store(tmp_path / "s").close()
-        with ServeManager(tmp_path / "s", readers=1) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             with manager.session() as session:
                 with raises(ReadOnlyError):
                     session.orpheus.run("INSERT INTO t__meta (vid) VALUES (9)")
 
     def test_follower_mode_sees_external_writer(self, tmp_path):
         writer = build_store(tmp_path / "s")
-        with ServeManager(tmp_path / "s", readers=2, writer=False) as manager:
+        with ServeManager(tmp_path / "s", writer=False) as manager:
             assert manager.writer is None
             with raises(PersistenceError):
                 with manager.write():
@@ -226,7 +228,7 @@ class TestServeManager:
 
     def test_concurrent_checkouts_are_consistent(self, tmp_path):
         build_store(tmp_path / "s", versions=5).close()
-        with ServeManager(tmp_path / "s", readers=4) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             expected = {
                 vid: manager.writer.checkout_rows("t", vid)
                 for vid in range(1, 6)
@@ -254,7 +256,7 @@ class TestServeManager:
 
     def test_concurrent_reads_while_writer_commits(self, tmp_path):
         build_store(tmp_path / "s").close()
-        with ServeManager(tmp_path / "s", readers=3) as manager:
+        with ServeManager(tmp_path / "s") as manager:
             stop = threading.Event()
             errors = []
 
@@ -293,7 +295,7 @@ class TestServeManager:
 class TestServeServer:
     def test_tcp_roundtrip_and_shutdown(self, tmp_path):
         build_store(tmp_path / "s").close()
-        server = ServeServer(ServeManager(tmp_path / "s", readers=2)).start()
+        server = ServeServer(ServeManager(tmp_path / "s")).start()
         host, port = server.address
         try:
             assert request(host, port, {"op": "ping"})["pong"] is True
@@ -308,11 +310,12 @@ class TestServeServer:
             )
             assert reply["rows"] == [[2]]
             status = request(host, port, {"op": "status"})["status"]
-            assert status["readers"] == 2
+            assert status["mode"] == "writer" and status["worker"] == 0
             bad = request(host, port, {"op": "checkout", "cvd": "nope", "vids": [1]})
             assert not bad["ok"] and "nope" in bad["error"]
             refreshed = request(host, port, {"op": "refresh"})
-            assert refreshed["ok"] and len(refreshed["sessions"]) == 2
+            assert refreshed["ok"] and len(refreshed["sessions"]) == 1
+            assert refreshed["sessions"][0]["lsn"] == status["writer_lsn"]
             assert refreshed["busy"] == 0
             # Malformed payloads get an error line, never a dropped
             # connection (the handler survives arbitrary exceptions).
@@ -324,7 +327,7 @@ class TestServeServer:
 
     def test_concurrent_tcp_clients(self, tmp_path):
         build_store(tmp_path / "s", versions=4).close()
-        server = ServeServer(ServeManager(tmp_path / "s", readers=3)).start()
+        server = ServeServer(ServeManager(tmp_path / "s")).start()
         host, port = server.address
         errors = []
 
@@ -353,10 +356,64 @@ class TestServeServer:
 
     def test_server_closes_manager_on_shutdown(self, tmp_path):
         build_store(tmp_path / "s").close()
-        manager = ServeManager(tmp_path / "s", readers=1)
+        manager = ServeManager(tmp_path / "s")
         server = ServeServer(manager).start()
         server.shutdown()
         with raises(PersistenceError):
             manager.checkout("t", 1)
         # The writer lock was released with the manager.
         Store.open(tmp_path / "s").close()
+
+
+class TestOneProtocol:
+    """Both front ends run one request loop and dispatcher, so every op
+    answers in one shape, failures included."""
+
+    STATUS_KEYS = {
+        "path",
+        "mode",
+        "pid",
+        "worker",
+        "writer_lsn",
+        "lsn",
+        "requests",
+        "refreshes",
+        "cache",
+    }
+
+    def test_every_op_answers_in_one_shape(self, front_end):
+        host, port = front_end
+
+        def keys(payload: dict) -> set:
+            reply = request(host, port, payload)
+            assert reply["ok"], reply
+            return set(reply)
+
+        assert keys({"op": "ping"}) == {"ok", "pong", "pid"}
+        assert keys({"op": "status"}) == {"ok", "status"}
+        status = request(host, port, {"op": "status"})["status"]
+        assert set(status) == self.STATUS_KEYS
+        stats = request(host, port, {"op": "stats"})["stats"]
+        assert set(stats) == {"pid", "worker", "metrics"}
+        query = {"op": "query", "sql": "SELECT count(*) FROM VERSION 1 OF CVD t"}
+        assert keys(query) == {"ok", "columns", "rows", "count", "lsn"}
+        refreshed = request(host, port, {"op": "refresh"})
+        assert set(refreshed) == {"ok", "sessions", "busy"}
+        assert [set(s) for s in refreshed["sessions"]] == [{"id", "lsn"}]
+        assert refreshed["busy"] == 0
+        checkout = {"op": "checkout", "cvd": "t", "vids": [3]}
+        assert keys(checkout) == {"ok", "columns", "count", "lsn", "rows"}
+        assert keys({**checkout, "rows": False}) == {
+            "ok",
+            "columns",
+            "count",
+            "lsn",
+            "checksum",
+        }
+        for payload, code in (
+            ({"op": "frobnicate"}, "unknown_op"),
+            ({"op": "checkout", "vids": [1]}, "bad_request"),
+        ):
+            reply = request(host, port, payload)
+            assert set(reply) == {"ok", "error", "code"}
+            assert not reply["ok"] and reply["code"] == code, reply

@@ -53,8 +53,6 @@ class TestServeCommand:
                 "--store",
                 populated_store,
                 "serve",
-                "--readers",
-                "3",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
